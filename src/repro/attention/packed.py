@@ -57,7 +57,14 @@ from ..errors import ConfigError, MaskError, ShapeError
 from .blocksparse import BlockSparseResult, _total_causal_blocks
 from .fastpath import KernelWorkspace
 from .masks import BlockMask
-from .utils import NEG_INF, grouped_pv, grouped_qk, softmax, validate_qkv
+from .utils import (
+    EXP_CLAMP,
+    NEG_INF,
+    grouped_pv,
+    grouped_qk,
+    softmax,
+    validate_qkv,
+)
 
 __all__ = [
     "PackedItem",
@@ -76,18 +83,6 @@ _SPAN_COVERAGE = 0.75
 #: Cauchy-Schwarz exp-overflow bound shared with the fast path: below it
 #: the kernel exponentiates raw scores (no row-max pass).
 _PLAIN_EXP_BOUND = 60.0
-
-#: Post-stabilisation clamp applied before ``exp``: entries this far below
-#: the row max contribute < 1e-26 relative mass (indistinguishable from 0
-#: in float32) but raw ``exp`` of the masked entries' ``-1e38`` would take
-#: numpy's underflow slow path -- ~6x the cost of the fast path.  The
-#: clamp value must stay well above ``log(FLT_MIN)`` (~-87.3): masked
-#: weights of ``exp(-60)`` (~9e-27) keep every probability-times-value
-#: product in the PV GEMM normal, where a tighter clamp would flood the
-#: GEMM with denormal products and trigger a per-FMA microcode assist
-#: that costs more than the masking it replaced.
-_EXP_CLAMP = np.float32(-60.0)
-
 
 @dataclass(frozen=True)
 class PackedItem:
@@ -133,27 +128,31 @@ class PackedAttentionResult:
 class PackedDecodeItem:
     """One decoding request's share of a packed decode dispatch.
 
-    ``q`` is the request's single rotated query row ``(H, 1, d)``; ``k``/
-    ``v`` are its full cached KV so far ``(H_kv, S_k, d)``, including the
-    entry this step appended.  Cache lengths are ragged across the batch
-    (``cu_seqlens`` in the result records the per-request KV offsets).
+    ``q`` is the request's single rotated query row ``(H, 1, d)``.  ``kv``
+    is its full cached KV so far (including this step's entry) as *runs*:
+    ``(keys, values)`` pairs of ``(H_kv, n_r, d)`` arrays whose
+    concatenation along the token axis is the KV -- e.g. a paged cache's
+    zero-copy :meth:`~repro.memory.PagedLayerKVCache.kv_runs`; a
+    contiguous KV is one run.  KV lengths are ragged across the batch.
     """
 
     q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
+    kv: tuple[tuple[np.ndarray, np.ndarray], ...]
     scale: float | None = None
     tag: object = None
+
+    @property
+    def s_k(self) -> int:
+        """KV tokens over all runs."""
+        return sum(int(k.shape[1]) for k, _ in self.kv)
 
 
 @dataclass(frozen=True)
 class PackedDecodeResult:
     """Result of one packed decode dispatch.
 
-    ``outputs[i]`` is item *i*'s attention output ``(H, 1, d)``, bitwise
-    identical to ``dense_attention(q, k, v, causal=False, scale=scale)``
-    on that item alone -- the serving parity gate pins generated tokens
-    across batching modes on exactly this property.  ``probs[i]`` (when
+    ``outputs[i]`` is item *i*'s attention output ``(H, 1, d)`` (parity
+    contract in :func:`packed_decode_attention`).  ``probs[i]`` (when
     requested) carries the ``(H, 1, S_k)`` attention probabilities for
     heavy-hitter mass recording.  ``stats`` is the single merged
     dispatch record (``dispatches`` is always 1).
@@ -173,20 +172,22 @@ def packed_decode_attention(
 ) -> PackedDecodeResult:
     """Execute every decoding request's step as one packed dispatch.
 
-    The decode mirror of :func:`packed_block_sparse_attention`: all
-    co-scheduled requests' single-token attention calls -- one query row
-    each against a ragged-length KV prefix -- run under one validation /
-    geometry / dispatch pass instead of one ``dense_attention`` call per
-    request.  Per item the arithmetic is the *same* BLAS schedule the
-    per-request path issues (``grouped_qk`` -> scale -> stabilised
-    ``softmax`` -> ``grouped_pv``), so outputs are bitwise equal to
-    per-request decode; what the packing removes is the per-call fixed
-    cost that dominates single-row shapes: Python dispatch, shape
-    validation, and the dense path's all-``True`` causal-mask
-    materialisation plus the predicated-``where`` pass it feeds (decode
-    rows attend to every cached key, so the mask is pure overhead --
-    ``softmax(scores)`` is bitwise equal to the masked form on a full
-    row).
+    The decode mirror of :func:`packed_block_sparse_attention`, and the
+    only decode attention kernel: ``AttentionLayer.decode_step`` is a
+    one-item call and ``Transformer.decode_batch`` a batched one, so
+    per-request and batched decode agree bitwise on any run layout.
+
+    Per item: ``grouped_qk`` -> scale -> ``softmax`` -> ``grouped_pv``,
+    with no causal mask (a decode row attends to every cached key).  Each
+    run's scores land in its column slice of one preallocated score row,
+    one softmax normalises the row, and the runs' PV products accumulate
+    into one output buffer -- the KV is never gathered.
+
+    Parity contract: on single-run KV the output is *bitwise* equal to
+    ``dense_attention(q, k, v, causal=False)`` on the item alone; on
+    multi-run KV it is within 2e-5 of dense attention over the
+    concatenated KV (only the PV summation order differs), with equal
+    greedy tokens.
 
     All items must share ``(H, H_kv, d)`` (one model); KV lengths may be
     ragged.  ``return_probs=True`` additionally returns each item's
@@ -194,45 +195,48 @@ def packed_decode_attention(
     """
     if num_threads < 1:
         raise ConfigError(f"num_threads must be >= 1, got {num_threads}")
+    stats = {
+        "dispatches": 1,
+        "decode_requests": len(items),
+        "decode_rows": len(items),
+        "kv_tokens": 0,
+        "s_k_max": 0,
+        "head_groups": 0,
+        "mode": "packed_decode",
+        "threads": int(num_threads),
+    }
     if not items:
         return PackedDecodeResult(
             outputs=[],
             probs=[] if return_probs else None,
             cu_seqlens=np.zeros(1, dtype=np.int64),
-            stats={
-                "dispatches": 1,
-                "decode_requests": 0,
-                "decode_rows": 0,
-                "kv_tokens": 0,
-                "s_k_max": 0,
-                "head_groups": 0,
-                "mode": "packed_decode",
-                "threads": int(num_threads),
-            },
+            stats=stats,
         )
 
     # ---- one validation + geometry pass over the batch -----------------
-    h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
+    if not items[0].kv:
+        raise ShapeError("decode item 0: empty KV")
+    h, h_kv, _, _, d = validate_qkv(items[0].q, *items[0].kv[0])
     cu = np.zeros(len(items) + 1, dtype=np.int64)
     scales = []
-    s_k_max = 0
     for i, it in enumerate(items):
-        q, k, v = it.q, it.k, it.v
-        if q.shape != (h, 1, d):
+        if it.q.shape != (h, 1, d) or not it.kv:
             raise ShapeError(
-                f"decode item {i}: q shape {q.shape} != ({h}, 1, {d})"
+                f"decode item {i}: q shape {it.q.shape} != ({h}, 1, {d}) "
+                f"or empty KV"
             )
-        s_k = k.shape[1]
-        if k.shape != (h_kv, s_k, d) or v.shape != k.shape or s_k < 1:
-            raise ShapeError(
-                f"decode item {i}: k/v shapes {k.shape}/{v.shape} "
-                f"incompatible with ({h_kv}, S_k>=1, {d})"
-            )
+        for k, v in it.kv:
+            if validate_qkv(it.q, k, v)[1] != h_kv:
+                raise ShapeError(
+                    f"decode item {i}: KV run has {k.shape[0]} heads, "
+                    f"expected {h_kv}"
+                )
+        s_k = it.s_k
         scales.append(
             np.float32(it.scale if it.scale is not None else 1.0 / np.sqrt(d))
         )
         cu[i + 1] = cu[i] + s_k
-        s_k_max = max(s_k_max, s_k)
+        stats["s_k_max"] = max(stats["s_k_max"], s_k)
 
     outputs: list[np.ndarray | None] = [None] * len(items)
     probs_out: list[np.ndarray | None] | None = (
@@ -240,15 +244,27 @@ def packed_decode_attention(
     )
 
     def exec_item(i: int) -> None:
-        it = items[i]
-        scores = grouped_qk(it.q, it.k)
+        q, kv = items[i].q, items[i].kv
+        scores = np.empty(
+            (h, 1, int(cu[i + 1] - cu[i])), dtype=np.result_type(q, kv[0][0])
+        )
+        off = 0
+        for k, _ in kv:
+            grouped_qk(q, k, out=scores[:, :, off : off + k.shape[1]])
+            off += k.shape[1]
         np.multiply(scores, scales[i], out=scores)
-        # Bitwise equal to the dense path's masked softmax: a decode row
-        # attends to the whole cache, and ``np.where(all-True, s, -inf)``
-        # is an exact copy of ``s``.
         probs = softmax(scores)
-        out = grouped_pv(probs, it.v).astype(it.q.dtype, copy=False)
-        outputs[i] = out
+        out = part = None
+        off = 0
+        for _, v in kv:
+            p = probs[:, :, off : off + v.shape[1]]
+            off += v.shape[1]
+            if out is None:
+                out = grouped_pv(p, v)
+            else:
+                part = grouped_pv(p, v, out=part)
+                out += part
+        outputs[i] = out.astype(q.dtype, copy=False)
         if probs_out is not None:
             probs_out[i] = probs
 
@@ -265,16 +281,8 @@ def packed_decode_attention(
         for i in range(len(items)):
             exec_item(i)
 
-    stats = {
-        "dispatches": 1,
-        "decode_requests": len(items),
-        "decode_rows": len(items),
-        "kv_tokens": int(cu[-1]),
-        "s_k_max": int(s_k_max),
-        "head_groups": h_kv,
-        "mode": "packed_decode",
-        "threads": int(num_threads),
-    }
+    stats["kv_tokens"] = int(cu[-1])
+    stats["head_groups"] = h_kv
     return PackedDecodeResult(
         outputs=outputs,  # type: ignore[arg-type]
         probs=probs_out,  # type: ignore[arg-type]
@@ -512,7 +520,7 @@ def packed_block_sparse_attention(
             # the plain path multiplies weights by a {0,1} float mask for
             # exact zeros; the stabilised path adds a -1e38 bias so the
             # row max sees only live scores, then clamps before ``exp``
-            # (see _EXP_CLAMP) so masked entries become ~2e-35 weights --
+            # (see EXP_CLAMP) so masked entries become ~9e-27 weights --
             # below float32 resolution of any live row sum.
             if any_dead:
                 if plain_exp:
@@ -572,7 +580,7 @@ def packed_block_sparse_attention(
                     # Stabilised path: additive -1e38 bias (dominates any
                     # live score, so the row max is the exact live max),
                     # then clamp into exp's fast range -- masked entries
-                    # weigh ~2e-35, negligible against any live row sum.
+                    # weigh ~9e-27, negligible against any live row sum.
                     if any_dead:
                         if batched:
                             sd = s.reshape(h_kv, n_rep, s_q, n)
@@ -582,7 +590,7 @@ def packed_block_sparse_attention(
                     m = np.max(s, axis=-1, out=ws.take("m", s.shape[:-1]))
                     m_base = np.where(m <= NEG_INF / 2, 0.0, m)
                     s -= m_base[..., None]
-                    np.maximum(s, _EXP_CLAMP, out=s)
+                    np.maximum(s, EXP_CLAMP, out=s)
                     np.exp(s, out=s)
 
                 l = np.sum(s, axis=-1, out=ws.take("l", s.shape[:-1]))

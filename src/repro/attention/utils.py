@@ -23,6 +23,7 @@ from ..errors import ShapeError
 
 __all__ = [
     "NEG_INF",
+    "EXP_CLAMP",
     "softmax",
     "causal_mask",
     "validate_qkv",
@@ -37,8 +38,23 @@ NEG_INF = np.float32(-1e30)
 """Additive mask value; large enough to zero a float32 softmax entry."""
 
 
+#: Floor for stabilised (row-max-shifted) scores before ``exp``.  An entry
+#: this far below its row max carries < 1e-26 relative mass -- invisible
+#: in a float32 row sum -- while ``exp`` of anything much lower lands in
+#: numpy's underflow slow path or yields subnormal floats, and a GEMM fed
+#: subnormal weights pays a per-FMA microcode assist.  The value stays
+#: well above ``log(FLT_MIN)`` (~-87.3), so ``exp(EXP_CLAMP)`` (~9e-27) is
+#: a normal float.
+EXP_CLAMP = np.float32(-60.0)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``.
+    """Numerically stable, subnormal-free softmax along ``axis``.
+
+    Scores are shifted by their row max and clamped at :data:`EXP_CLAMP`;
+    entries at or below the clamp become exact zeros, so no output (and
+    no product of an output with a normal value) is subnormal.  The mass
+    dropped is below float32 resolution of the row sum.
 
     Rows that are entirely ``-inf``-like (all entries below ``NEG_INF/2``)
     produce all-zero probability rows instead of NaN, which is the behaviour
@@ -46,11 +62,13 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     x = np.asarray(x)
     m = np.max(x, axis=axis, keepdims=True)
-    dead = m <= NEG_INF / 2
-    e = np.exp(x - np.where(dead, 0.0, m))
-    e = np.where(np.broadcast_to(dead, e.shape), 0.0, e)
+    e = x - np.where(m <= NEG_INF / 2, 0.0, m)
+    np.maximum(e, EXP_CLAMP, out=e)
+    flushed = e <= EXP_CLAMP
+    np.exp(e, out=e)
+    e[flushed] = 0.0
     z = np.sum(e, axis=axis, keepdims=True)
-    z = np.where(z == 0.0, 1.0, z)
+    z[z == 0.0] = 1.0
     return e / z
 
 
@@ -110,7 +128,9 @@ def expand_kv(x: np.ndarray, n_rep: int) -> np.ndarray:
     )
 
 
-def grouped_qk(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+def grouped_qk(
+    q: np.ndarray, k: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Score GEMM ``q @ k^T`` without materialising repeated KV heads.
 
     ``(H, S_q, d) x (H_kv, S_k, d) -> (H, S_q, S_k)``.  Under GQA the query
@@ -119,29 +139,51 @@ def grouped_qk(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     ``O(H * S_k * d)`` :func:`expand_kv` copy (and einsum path re-planning)
     never happens.  Splitting the leading head axis is stride-preserving,
     so views (e.g. query tiles) reshape without copying.
+
+    ``out`` optionally receives the scores in place; it may be a column
+    slice of a wider score buffer (run-segmented KV writes one slice per
+    run).
     """
     h, s_q, d = q.shape
     h_kv, s_k = k.shape[0], k.shape[1]
+    if out is None:
+        out = np.empty((h, s_q, s_k), dtype=np.result_type(q, k))
     if h == h_kv:
-        return np.matmul(q, k.transpose(0, 2, 1))
-    q4 = q.reshape(h_kv, h // h_kv, s_q, d)
-    s = np.matmul(q4, k[:, None].transpose(0, 1, 3, 2))
-    return s.reshape(h, s_q, s_k)
+        return np.matmul(q, k.transpose(0, 2, 1), out=out)
+    # Splitting the head axis is a view, even of a column slice, so the
+    # GEMM writes straight into ``out``.
+    n_rep = h // h_kv
+    np.matmul(
+        q.reshape(h_kv, n_rep, s_q, d),
+        k[:, None].transpose(0, 1, 3, 2),
+        out=out.reshape(h_kv, n_rep, s_q, s_k),
+    )
+    return out
 
 
-def grouped_pv(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+def grouped_pv(
+    p: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Output GEMM ``p @ v`` without materialising repeated KV heads.
 
     ``(H, S_q, S_k) x (H_kv, S_k, d) -> (H, S_q, d)``; the GQA counterpart
     of :func:`grouped_qk` for the probability-times-values contraction.
+    ``p`` may be a column slice of a wider probability buffer; ``out``
+    optionally receives the result in place.
     """
     h, s_q, s_k = p.shape
     h_kv, _, d = v.shape
+    if out is None:
+        out = np.empty((h, s_q, d), dtype=np.result_type(p, v))
     if h == h_kv:
-        return np.matmul(p, v)
-    p4 = p.reshape(h_kv, h // h_kv, s_q, s_k)
-    out = np.matmul(p4, v[:, None])
-    return out.reshape(h, s_q, d)
+        return np.matmul(p, v, out=out)
+    n_rep = h // h_kv
+    np.matmul(
+        p.reshape(h_kv, n_rep, s_q, s_k),
+        v[:, None],
+        out=out.reshape(h_kv, n_rep, s_q, d),
+    )
+    return out
 
 
 def attention_scores(

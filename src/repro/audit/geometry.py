@@ -850,7 +850,7 @@ def _check_packed_decode(case: GeometryCase) -> CaseResult:
         v = rng.standard_normal((case.h_kv, s_k, case.d), dtype=np.float32)
         batch.append((s_k, q, k, v))
     res = packed_decode_attention(
-        [PackedDecodeItem(q=q, k=k, v=v) for _, q, k, v in batch],
+        [PackedDecodeItem(q=q, kv=((k, v),)) for _, q, k, v in batch],
         return_probs=True,
     )
     checks = 0

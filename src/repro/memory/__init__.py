@@ -8,7 +8,10 @@ block tables over one global :class:`KVArena`:
   refcounts, zero-copy views over contiguous block runs.
 * :class:`PagedLayerKVCache` -- drop-in ``LayerKVCache`` replacement
   holding a block table; copy-on-write forking, atomic appends,
-  gather-based views feeding the existing kernels.
+  zero-copy run views that decode attends over in place, and a gathered
+  contiguous read for prefill.
+* :class:`BatchedKVGather` -- the fused-decode read hook: hands every
+  batched cache's run views to the decode kernel and counts them.
 * :class:`PrefixSharingRegistry` -- chain-hashed token prefixes map to
   physical blocks so repeated system prompts share storage.
 * :class:`EvictionPolicy` implementations (:class:`HeavyHitterPolicy`,

@@ -22,8 +22,9 @@ substrate):
   ledger.
 * **Zero-copy contiguous views** -- the ``(H_kv, n_blocks, bt, d)``
   layout makes any *contiguous ascending run* of block ids expressible as
-  a strided view ``arr[:, b0:b1].reshape(H, run*bt, d)`` without copying;
-  fragmented tables fall back to a gather into a reused scratch slab.
+  a strided view ``arr[:, b0:b1].reshape(H, run*bt, d)`` without copying,
+  so a fragmented table reads as a few such views (:meth:`KVArena.runs`);
+  decode attends over them in place.
 * **Reservations** -- :meth:`reserve` withdraws blocks from the free list
   without handing them to any table; the fault injector uses this to
   simulate arena-exhaustion bursts deterministically.
@@ -200,27 +201,48 @@ class KVArena:
         return n
 
     # ----------------------------------------------------------------- views
+    def runs(
+        self, block_ids: list[int], length: int
+    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Zero-copy ``(keys, values)`` views over the first ``length``
+        tokens of ``block_ids``, one ``(H_kv, n, d)`` pair per maximal run
+        of consecutive ascending block ids.
+
+        Concatenated along the token axis the runs are exactly the
+        table's live KV.  An empty table yields one empty run.
+        """
+        h, d, bt = self.n_kv_heads, self.d_head, self.block_tokens
+        if not block_ids:
+            empty = self._k[:, :0].reshape(h, 0, d)
+            return ((empty, empty),)
+        out = []
+        left = length
+        start = 0
+        for i in range(1, len(block_ids) + 1):
+            if i < len(block_ids) and block_ids[i] == block_ids[i - 1] + 1:
+                continue
+            b0, b1 = block_ids[start], block_ids[i - 1] + 1
+            n = min((b1 - b0) * bt, left)
+            k = self._k[:, b0:b1].reshape(h, (b1 - b0) * bt, d)
+            v = self._v[:, b0:b1].reshape(h, (b1 - b0) * bt, d)
+            out.append((k[:, :n], v[:, :n]))
+            left -= n
+            start = i
+            if left <= 0:
+                break
+        return tuple(out)
+
     def view(
         self, block_ids: list[int], length: int
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """``(keys, values)`` of shape ``(H_kv, length, d)`` over
         ``block_ids`` *without copying*, or ``None`` when the ids are not a
-        contiguous ascending run (the caller gathers instead).
+        contiguous ascending run (see :meth:`runs` for fragmented tables).
 
         ``length`` trims the partially-filled tail block.
         """
-        if not block_ids:
-            empty = self._k[:, :0].reshape(self.n_kv_heads, 0, self.d_head)
-            return empty, empty
-        b0 = block_ids[0]
-        for i, bid in enumerate(block_ids):
-            if bid != b0 + i:
-                return None
-        b1 = block_ids[-1] + 1
-        bt = self.block_tokens
-        k = self._k[:, b0:b1].reshape(self.n_kv_heads, (b1 - b0) * bt, -1)
-        v = self._v[:, b0:b1].reshape(self.n_kv_heads, (b1 - b0) * bt, -1)
-        return k[:, :length], v[:, :length]
+        runs = self.runs(block_ids, length)
+        return runs[0] if len(runs) == 1 else None
 
     def gather(
         self,
@@ -230,16 +252,13 @@ class KVArena:
         out_v: np.ndarray,
     ) -> None:
         """Copy ``length`` tokens of ``block_ids`` into caller scratch
-        ``(H_kv, length, d)``; used when :meth:`view` returns ``None``."""
-        bt = self.block_tokens
+        ``(H_kv, length, d)``, one slice assignment per run."""
         t = 0
-        for bid in block_ids:
-            m = min(bt, length - t)
-            if m <= 0:
-                break
-            out_k[:, t : t + m] = self._k[:, bid, :m]
-            out_v[:, t : t + m] = self._v[:, bid, :m]
-            t += m
+        for k, v in self.runs(block_ids, length):
+            n = k.shape[1]
+            out_k[:, t : t + n] = k
+            out_v[:, t : t + n] = v
+            t += n
 
     # ------------------------------------------------------------- reporting
     def stats(self) -> dict:

@@ -1,119 +1,57 @@
-"""Batched block-table gather for fused decode over paged KV caches.
+"""Batched block-table reads for fused decode over paged KV caches.
 
-A fused decode step needs every batched request's ``(keys, values)`` for
-one layer at once.  Per-cache ``.keys``/``.values`` would re-gather each
-fragmented cache into its *own* scratch buffer every layer of every step;
-:class:`BatchedKVGather` instead materialises the whole batch through one
-grow-only scratch slab per arena -- one allocation reused across layers,
-steps, and requests -- while unfragmented caches keep the arena's
-zero-copy contiguous view and never touch the slab.
-
-Gathering moves bytes verbatim, so both paths return arrays bitwise
-identical to the cache's own ``.keys``/``.values`` -- the fused decode
-parity gate does not notice which path served a request.
+A fused decode step needs every batched request's KV for one layer at
+once.  :class:`BatchedKVGather` hands each cache's live KV over as its
+run views (:meth:`~repro.memory.PagedLayerKVCache.kv_runs`): zero-copy
+arena views, one per maximal run of consecutive block ids, which the
+decode kernel attends over in place.  No token is copied, however
+fragmented the block tables are.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = ["BatchedKVGather"]
 
 
 class BatchedKVGather:
-    """Slab-backed gather hook for :meth:`Transformer.decode_batch`.
+    """Run-view gather hook for :meth:`Transformer.decode_batch`.
 
     Call signature matches the ``gather`` parameter of ``decode_batch``:
-    ``(layer_index, pairs) -> {entry_index: (keys, values)}`` where
-    ``pairs`` is a list of ``(entry_index, cache)``.  Caches whose live
-    blocks form a contiguous ascending run resolve through
-    ``arena.view`` (zero copy); the rest are copied into disjoint slices
-    of one shared scratch slab sized to the batch's total KV tokens.
-
-    The slab is grow-only and owned by this object: the engine keeps one
-    instance per run, so steady-state decode performs zero allocations
-    for gathers.  Slices are only valid until the next call -- exactly
-    the lifetime ``decode_batch`` needs (one attention dispatch).
+    ``(layer_index, pairs) -> {entry_index: runs}`` where ``pairs`` is a
+    list of ``(entry_index, cache)`` and ``runs`` is the cache's
+    ``kv_runs()`` -- a tuple of ``(keys, values)`` views whose
+    concatenation along the token axis is the cache's KV.  Contiguous
+    (non-paged) caches yield one run.  The engine keeps one instance per
+    run and reads its counters into ``EngineResult.memory``.
     """
 
     def __init__(self) -> None:
-        self._slab_k: np.ndarray | None = None
-        self._slab_v: np.ndarray | None = None
-        #: Dispatches served entirely by zero-copy views.
-        self.view_only_dispatches = 0
         #: Total calls.
         self.dispatches = 0
-        #: Tokens copied through the slab (telemetry).
-        self.gathered_tokens = 0
-        #: Tokens served zero-copy (telemetry).
+        #: Cache reads served (one per (entry, call)).
+        self.reads = 0
+        #: Run views handed out; ``runs / reads`` is the mean
+        #: fragmentation of the block tables decode attends over.
+        self.runs = 0
+        #: Tokens served, all zero-copy.
         self.viewed_tokens = 0
-
-    @property
-    def slab_bytes(self) -> int:
-        """Current scratch footprint (both K and V slabs)."""
-        if self._slab_k is None:
-            return 0
-        return self._slab_k.nbytes + self._slab_v.nbytes
-
-    def _ensure_slab(self, h: int, tokens: int, d: int) -> None:
-        slab = self._slab_k
-        if (
-            slab is None
-            or slab.shape[0] != h
-            or slab.shape[2] != d
-            or slab.shape[1] < tokens
-        ):
-            cap = max(tokens, 2 * (slab.shape[1] if slab is not None else 0))
-            self._slab_k = np.empty((h, cap, d), dtype=np.float32)
-            self._slab_v = np.empty((h, cap, d), dtype=np.float32)
-
-    @staticmethod
-    def _live_blocks(cache) -> list[int]:
-        bt = cache.arena.block_tokens
-        need = (len(cache) + bt - 1) // bt
-        return list(cache.block_ids[:need])
 
     def __call__(self, layer_index: int, pairs: list) -> dict:
         self.dispatches += 1
         out: dict = {}
-        fragmented: list[tuple] = []
-        total = 0
-        h = d = 0
         for b, cache in pairs:
-            arena = getattr(cache, "arena", None)
-            if arena is None:
-                # Contiguous (non-paged) cache: its views are already
-                # zero-copy slices of one buffer.
-                out[b] = (cache.keys, cache.values)
-                continue
-            n = len(cache)
-            live = self._live_blocks(cache)
-            pair = arena.view(live, n)
-            if pair is not None:
-                out[b] = pair
-                self.viewed_tokens += n
-                continue
-            fragmented.append((b, cache, live, n, total))
-            total += n
-            h, d = arena.n_kv_heads, arena.d_head
-        if not fragmented:
-            self.view_only_dispatches += 1
-            return out
-        self._ensure_slab(h, total, d)
-        for b, cache, live, n, off in fragmented:
-            out_k = self._slab_k[:, off : off + n]
-            out_v = self._slab_v[:, off : off + n]
-            cache.arena.gather(live, n, out_k, out_v)
-            out[b] = (out_k, out_v)
-            self.gathered_tokens += n
+            runs = cache.kv_runs()
+            out[b] = runs
+            self.reads += 1
+            self.runs += len(runs)
+            self.viewed_tokens += len(cache)
         return out
 
     def stats(self) -> dict:
         """Telemetry snapshot (JSON-friendly)."""
         return {
             "dispatches": self.dispatches,
-            "view_only_dispatches": self.view_only_dispatches,
+            "reads": self.reads,
+            "runs": self.runs,
             "viewed_tokens": self.viewed_tokens,
-            "gathered_tokens": self.gathered_tokens,
-            "slab_bytes": self.slab_bytes,
         }

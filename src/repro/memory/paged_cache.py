@@ -15,12 +15,13 @@ Semantics beyond the contiguous cache:
   truncate) into a block whose arena refcount is above one forks the block
   first, so prefix-shared physical blocks are never mutated by one of
   their readers.
-* **Gather-based views** -- ``keys``/``values`` return a zero-copy strided
-  view when the table is one contiguous ascending run of block ids (the
-  common case for freshly allocated requests), and otherwise gather the
-  live prefix into a grow-only scratch slab owned by the cache (O(1)
-  steady-state allocations, same contract as the fast kernel's
-  :class:`~repro.attention.KernelWorkspace`).
+* **Run views** -- :meth:`kv_runs` returns the live KV as zero-copy arena
+  views, one per maximal run of consecutive block ids, cached until the
+  block table changes; decode attends over them in place.  :meth:`kv`
+  (and ``keys``/``values``) return one contiguous pair: the single run's
+  view when the table is one run (the common case for freshly allocated
+  requests), otherwise one gather of the live prefix into a grow-only
+  scratch buffer owned by the cache (prefill's contiguous reads).
 * **Atomic append** -- an append that hits
   :class:`~repro.errors.ArenaExhaustedError` partway rolls itself back to
   the pre-append length before re-raising, so the serving engine's chunk
@@ -50,6 +51,9 @@ class PagedLayerKVCache:
         )
         self._scratch_k: np.ndarray | None = None
         self._scratch_v: np.ndarray | None = None
+        # Full-block run views of the live table (see kv_runs); reset
+        # whenever ``_blocks`` changes.
+        self._runs: tuple | None = None
         # Staged (uncommitted) attention mass of the in-flight decode
         # step: applied to ``_acc`` by :meth:`commit_attention`, discarded
         # by rollback (truncate/release) -- see record_attention.
@@ -90,7 +94,30 @@ class PagedLayerKVCache:
         return self._pos[: self._len]
 
     # ----------------------------------------------------------------- views
-    def _views(self) -> tuple[np.ndarray, np.ndarray]:
+    def kv_runs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Live KV as zero-copy ``(keys, values)`` arena views, one
+        ``(H_kv, n, d_head)`` pair per maximal run of consecutive block
+        ids; concatenated along the token axis they equal :meth:`kv`.
+
+        The full-block views are cached until the block table changes
+        (new block, fork, truncate, release, evict, adoption); a call
+        only re-trims the last run to the live length."""
+        bt = self.arena.block_tokens
+        if self._runs is None:
+            live = self._live_blocks()
+            self._runs = self.arena.runs(live, len(live) * bt)
+        runs = self._runs
+        excess = -self._len % bt
+        if not excess:
+            return runs
+        k, v = runs[-1]
+        m = k.shape[1] - excess
+        return runs[:-1] + ((k[:, :m], v[:, :m]),)
+
+    def kv(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)``, each ``(H_kv, len, d_head)``, from one read:
+        the arena view when the table is one run, else one gather of both
+        into the cache's scratch buffers (valid until the next call)."""
         live = self._live_blocks()
         pair = self.arena.view(live, self._len)
         if pair is not None:
@@ -109,11 +136,11 @@ class PagedLayerKVCache:
     @property
     def keys(self) -> np.ndarray:
         """``(H_kv, len, d_head)`` over the live prefix (view or gather)."""
-        return self._views()[0]
+        return self.kv()[0]
 
     @property
     def values(self) -> np.ndarray:
-        return self._views()[1]
+        return self.kv()[1]
 
     def attention_mass(self) -> np.ndarray:
         """Committed per-key attention mass, ``(H_kv, len)``.
@@ -151,6 +178,7 @@ class PagedLayerKVCache:
         arena.decref(old)
         arena.forks += 1
         self._blocks[block_index] = new
+        self._runs = None
         return new
 
     # ---------------------------------------------------------------- append
@@ -178,6 +206,7 @@ class PagedLayerKVCache:
                 bi, off = divmod(t, bt)
                 if bi == len(self._blocks):
                     self._blocks.append(arena.alloc())
+                    self._runs = None
                 bid = self._blocks[bi]
                 if arena.refcount(bid) > 1:
                     bid = self._fork(bi)
@@ -210,6 +239,7 @@ class PagedLayerKVCache:
         for bid in block_ids:
             self.arena.incref(bid)
         self._blocks = list(block_ids)
+        self._runs = None
         self._grow_meta(n)
         self._pos[:n] = positions
         self._len = n
@@ -229,6 +259,7 @@ class PagedLayerKVCache:
         need = (length + bt - 1) // bt
         while len(self._blocks) > need:
             self.arena.decref(self._blocks.pop())
+            self._runs = None
         self._acc[:, length : self._len] = 0.0
         self._len = length
         self.discard_staged_attention()
@@ -237,6 +268,7 @@ class PagedLayerKVCache:
         """Drop every block reference (request finished or shed)."""
         while self._blocks:
             self.arena.decref(self._blocks.pop())
+        self._runs = None
         self._acc[:, : self._len] = 0.0
         self._len = 0
         self.discard_staged_attention()
@@ -325,7 +357,7 @@ class PagedLayerKVCache:
                 f"table nets {would_free} (shared blocks) with "
                 f"{self.arena.blocks_free} free"
             )
-        keys, values = self._views()
+        keys, values = self.kv()
         new_k = np.stack([keys[h, keep_per_head[h]] for h in range(h_kv)])
         new_v = np.stack([values[h, keep_per_head[h]] for h in range(h_kv)])
         new_acc = np.stack(

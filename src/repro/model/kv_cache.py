@@ -49,6 +49,15 @@ class LayerKVCache:
     def values(self) -> np.ndarray:
         return self._v[:, : self._len]
 
+    def kv(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)`` views in one call (the paged cache's
+        single-read accessor; here both are plain slices)."""
+        return self._k[:, : self._len], self._v[:, : self._len]
+
+    def kv_runs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The live KV as run views: always one run, :meth:`kv`."""
+        return (self.kv(),)
+
     @property
     def positions(self) -> np.ndarray:
         """Absolute positions of live entries (monotone increasing)."""

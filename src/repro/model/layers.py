@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention.dense import dense_attention
+from ..attention.packed import PackedDecodeItem, packed_decode_attention
 from ..backends import AttentionBackend
 from ..errors import ModelError
 from .config import ModelConfig
@@ -281,19 +282,18 @@ class AttentionLayer:
         """Single-token attention against the cache (dense, as in the paper).
 
         ``x``: ``(1, d_model)`` residual row for the new token.  Appends the
-        new KV entry, attends over the whole cache, and optionally records
-        per-key attention mass for eviction policies.
+        new KV entry, attends over the whole cache -- a one-item
+        :func:`~repro.attention.packed.packed_decode_attention` call over
+        the cache's run views, the kernel batched decode uses -- and
+        optionally records per-key attention mass for eviction policies.
         """
-        q, k, v = self.project_qkv(x, np.asarray([position], dtype=np.int64))
-        cache.append(k, v, np.asarray([position], dtype=np.int64))
-        res = dense_attention(
-            q,
-            cache.keys,
-            cache.values,
-            causal=False,  # every cached key is in the past by construction
-            scale=self._scale,
+        pos = np.asarray([position], dtype=np.int64)
+        q, k, v = self.project_qkv(x, pos)
+        cache.append(k, v, pos)
+        res = packed_decode_attention(
+            [PackedDecodeItem(q=q, kv=cache.kv_runs(), scale=self._scale)],
             return_probs=record_attention,
         )
-        if record_attention and res.probs is not None:
-            cache.record_attention(res.probs)
-        return self.merge_heads(res.output)
+        if record_attention:
+            cache.record_attention(res.probs[0])
+        return self.merge_heads(res.outputs[0])

@@ -177,7 +177,7 @@ class Transformer:
         for i, layer in enumerate(self.layers):
             q, k_new, v_new = layer.project_qkv(self._norm(x), positions)
             caches[i].append(k_new, v_new, positions)
-            out = attend(i, q, caches[i].keys, caches[i].values, scale)
+            out = attend(i, q, *caches[i].kv(), scale)
             x = x + layer.merge_heads(out)
             lw = layer.weights
             if lw.mlp_w1 is not None:
@@ -259,7 +259,7 @@ class Transformer:
                     live.remove(b)
                     xs[b] = None
                     continue
-                entries[b] = (q, cache.keys, cache.values, scale)
+                entries[b] = (q, *cache.kv(), scale)
             if not entries:
                 break
             outs = attend_batch(i, entries)
@@ -393,7 +393,7 @@ class Transformer:
         request's KV is appended, and one call to
         ``attend_batch(layer_index, items)`` computes attention for the
         whole batch -- ``items`` maps entry index to
-        ``(q, keys, values, scale)`` and the returned dict maps entry
+        ``(q, kv_runs, scale)`` and the returned dict maps entry
         index to ``(output, probs_or_None)``.  ``attend_batch`` is
         invoked exactly ``n_layers`` times per call, even when every
         entry has been dropped (the serving engine's dispatch-count
@@ -403,10 +403,12 @@ class Transformer:
         (the caller rolls the dropped entry's caches back -- staged
         attention mass is discarded by the rollback ``truncate``).
         ``gather(layer_index, pairs)`` -- ``pairs`` a list of
-        ``(entry_index, cache)`` -- may override how per-request KV views
-        are materialised (the paged backend batches its block-table
-        gathers through one shared scratch slab); the default reads
-        ``cache.keys`` / ``cache.values`` per entry.
+        ``(entry_index, cache)`` -- may override how per-request KV is
+        read; it returns entry index -> run views, a tuple of ``(keys,
+        values)`` pairs whose concatenation along the token axis is the
+        KV (the engine passes a :class:`~repro.memory.BatchedKVGather`
+        that also counts the reads).  The default reads each cache's
+        ``kv_runs()``; the decode kernel attends over the runs in place.
 
         The default ``attend_batch`` executes the whole batch as one
         :func:`~repro.attention.packed.packed_decode_attention` dispatch
@@ -450,8 +452,8 @@ class Transformer:
                 order = list(items)
                 res = packed_decode_attention(
                     [
-                        PackedDecodeItem(q=q, k=k, v=v, scale=s)
-                        for q, k, v, s in items.values()
+                        PackedDecodeItem(q=q, kv=kv, scale=s)
+                        for q, kv, s in items.values()
                     ],
                     return_probs=record,
                 )
@@ -484,12 +486,11 @@ class Transformer:
                         continue
                     items[b] = (qb[j], cache, scale)
                 if gather is None:
-                    kv = {b: (c.keys, c.values) for b, (_, c, _) in items.items()}
+                    kv = {b: c.kv_runs() for b, (_, c, _) in items.items()}
                 else:
                     kv = gather(i, [(b, c) for b, (_, c, _) in items.items()])
                 items = {
-                    b: (q, kv[b][0], kv[b][1], s)
-                    for b, (q, _, s) in items.items()
+                    b: (q, kv[b], s) for b, (q, _, s) in items.items()
                 }
             outs = attend_batch(i, items)
             if not live:

@@ -1389,8 +1389,8 @@ class ServingEngine:
         self, layer: int, items: dict, record: bool
     ) -> dict:
         """One fused decode attention dispatch for every live batched
-        request at one layer.  ``items`` maps batch index to ``(q, keys,
-        values, scale)``; returns batch index -> ``(output, probs)``.
+        request at one layer.  ``items`` maps batch index to ``(q,
+        kv_runs, scale)``; returns batch index -> ``(output, probs)``.
 
         Counts exactly one ``packed_decode_dispatches`` per call --
         including the empty-batch call :meth:`Transformer.decode_batch`
@@ -1403,24 +1403,23 @@ class ServingEngine:
         if not items:
             return {}
         order = list(items)
+        batch = [
+            PackedDecodeItem(q=q, kv=kv, scale=s, tag=b)
+            for b, (q, kv, s) in items.items()
+        ]
         threads = 1
         cls = None
         if self._tuner is not None:
             cls = self._tuner.decode_shape_class(
-                len(items),
-                max(int(k.shape[1]) for _, k, _, _ in items.values()),
+                len(batch),
+                max(it.s_k for it in batch),
                 self.model.config.n_kv_heads,
             )
             threads = self._tuner.choose(cls).num_threads
         t0 = time.perf_counter()
         with profiler.stage("attend"):
             res = packed_decode_attention(
-                [
-                    PackedDecodeItem(q=q, k=k, v=v, scale=s, tag=b)
-                    for b, (q, k, v, s) in items.items()
-                ],
-                return_probs=record,
-                num_threads=threads,
+                batch, return_probs=record, num_threads=threads
             )
         if self._tuner is not None:
             self._tuner.observe(
@@ -1607,9 +1606,8 @@ class ServingEngine:
             else:
                 n_blocks = self.arena_blocks
             self._arena = KVArena(n_blocks, cfg.n_kv_heads, bt, cfg.d_head)
-            # One slab-backed batched gather per run: fused decode steps
-            # materialise every fragmented cache through one scratch slab
-            # (unfragmented caches stay zero-copy views).
+            # One gather hook per engine run: fused decode steps attend
+            # over each cache's zero-copy block runs, which it counts.
             self._decode_gather = BatchedKVGather()
             self._sharing = (
                 PrefixSharingRegistry(self._arena)

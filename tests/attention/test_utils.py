@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attention.utils import (
+    EXP_CLAMP,
     NEG_INF,
     causal_mask,
     expand_kv,
@@ -45,6 +46,46 @@ class TestSoftmax:
     def test_axis_argument(self, rng):
         x = rng.standard_normal((3, 4))
         np.testing.assert_allclose(softmax(x, axis=0).sum(axis=0), 1.0, rtol=1e-6)
+
+
+class TestSubnormalFreeSoftmax:
+    """Shifted scores at or below EXP_CLAMP flush to exact zero, so no
+    probability is subnormal and the decode PV GEMM never sees one."""
+
+    TINY = np.finfo(np.float32).tiny
+
+    def wide_rows(self, rng):
+        # Rows spanning ~300 logits: raw exp would produce subnormals.
+        return (rng.standard_normal((64, 512)) * 40.0).astype(np.float32)
+
+    def test_no_output_is_subnormal(self, rng):
+        p = softmax(self.wide_rows(rng))
+        assert not np.any((p > 0) & (p < self.TINY))
+        assert np.any(p == 0.0)  # the wide rows did reach the clamp
+
+    def test_entries_at_or_below_clamp_are_exact_zero(self):
+        clamp = float(EXP_CLAMP)
+        x = np.array(
+            [[0.0, clamp, clamp - 1.0, clamp + 0.5, -1e4]], dtype=np.float32
+        )
+        p = softmax(x + np.float32(7.0))  # shift: the max is not zero
+        assert p[0, 1] == 0.0 and p[0, 2] == 0.0 and p[0, 4] == 0.0
+        assert p[0, 3] > 0.0
+
+    def test_fully_masked_rows_stay_zero(self):
+        x = np.full((3, 5), NEG_INF, dtype=np.float32)
+        x[1] = -np.inf
+        x[2, 2] = 1.0
+        p = softmax(x)
+        np.testing.assert_array_equal(p[:2], 0.0)
+        np.testing.assert_array_equal(p[2], np.eye(5, dtype=np.float32)[2])
+
+    def test_within_1e6_of_float64_reference(self, rng):
+        x = self.wide_rows(rng)
+        x64 = x.astype(np.float64)
+        e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+        ref = e / e.sum(axis=-1, keepdims=True)
+        assert float(np.abs(softmax(x) - ref).max()) <= 1e-6
 
 
 class TestCausalMask:

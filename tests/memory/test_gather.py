@@ -1,4 +1,9 @@
-"""Tests for the batched block-table gather (fused decode KV views)."""
+"""Tests for the run-view gather (fused decode reads paged KV in place).
+
+Contract: a cache's run views, concatenated along the token axis, equal
+its ``.keys``/``.values`` bitwise; every run is a view of the arena (no
+token is copied); a contiguous table is one run.
+"""
 
 import numpy as np
 
@@ -25,65 +30,102 @@ def interleaved_pair(arena):
     return a, b
 
 
+def assert_runs_match(runs, cache):
+    """Concatenated runs equal the cache's contiguous read bitwise."""
+    np.testing.assert_array_equal(
+        np.concatenate([k for k, _ in runs], axis=1), cache.keys
+    )
+    np.testing.assert_array_equal(
+        np.concatenate([v for _, v in runs], axis=1), cache.values
+    )
+
+
+def assert_zero_copy(runs, arena):
+    for k, v in runs:
+        assert np.shares_memory(k, arena._k)
+        assert np.shares_memory(v, arena._v)
+
+
 class TestFastPaths:
     def test_contiguous_cache_passes_through(self):
         cache = LayerKVCache(H, D)
         fill(cache, 6)
         g = BatchedKVGather()
-        out = g(0, [(0, cache)])
-        k, v = out[0]
-        np.testing.assert_array_equal(k, cache.keys)
-        np.testing.assert_array_equal(v, cache.values)
-        assert g.view_only_dispatches == 1
-        assert g.gathered_tokens == 0 and g.slab_bytes == 0
+        runs = g(0, [(0, cache)])[0]
+        assert len(runs) == 1
+        assert_runs_match(runs, cache)
+        assert np.shares_memory(runs[0][0], cache.keys)
+        assert g.reads == 1 and g.runs == 1 and g.viewed_tokens == 6
 
     def test_unfragmented_paged_cache_is_zero_copy(self):
         arena = KVArena(8, H, BT, D)
         cache = PagedLayerKVCache(arena)
         fill(cache, 2 * BT + 1)
         g = BatchedKVGather()
-        (k, v) = g(0, [(0, cache)])[0]
-        np.testing.assert_array_equal(k, cache.keys)
-        assert k.base is not None  # a view over the arena, not a copy
+        runs = g(0, [(0, cache)])[0]
+        assert len(runs) == 1  # a contiguous table is one run
+        assert runs[0][0].shape == (H, 2 * BT + 1, D)
+        assert_runs_match(runs, cache)
+        assert_zero_copy(runs, arena)
         assert g.viewed_tokens == 2 * BT + 1
-        assert g.view_only_dispatches == 1 and g.slab_bytes == 0
 
 
-class TestSlabGather:
+class TestFragmentedRuns:
     def test_fragmented_caches_match_cache_views_bitwise(self):
         arena = KVArena(8, H, BT, D)
         a, b = interleaved_pair(arena)
         g = BatchedKVGather()
         out = g(0, [(0, a), (1, b)])
-        np.testing.assert_array_equal(out[0][0], a.keys)
-        np.testing.assert_array_equal(out[0][1], a.values)
-        np.testing.assert_array_equal(out[1][0], b.keys)
-        np.testing.assert_array_equal(out[1][1], b.values)
-        assert g.gathered_tokens == 4 * BT
-        assert g.view_only_dispatches == 0
-        assert g.slab_bytes > 0
+        for entry, cache in ((0, a), (1, b)):
+            assert len(out[entry]) == 2  # one run per block here
+            assert_runs_match(out[entry], cache)
+            assert_zero_copy(out[entry], arena)
+        assert g.runs == 4 and g.viewed_tokens == 4 * BT
 
-    def test_slab_is_reused_across_calls(self):
-        arena = KVArena(8, H, BT, D)
+    def test_runs_cached_until_block_table_changes(self):
+        arena = KVArena(16, H, BT, D)
         a, b = interleaved_pair(arena)
-        g = BatchedKVGather()
-        g(0, [(0, a), (1, b)])
-        slab = g._slab_k
-        for layer in range(1, 4):
-            g(layer, [(0, a), (1, b)])
-        assert g._slab_k is slab  # grow-only: no reallocation per layer
-        assert g.dispatches == 4
+        first = a.kv_runs()
+        assert a.kv_runs() is first  # cached: block table unchanged
+        fill(a, 1, start=2 * BT, seed=5)  # new block -> table changed
+        grown = a.kv_runs()
+        assert grown is not first
+        assert_runs_match(grown, a)
+        fill(a, 1, start=2 * BT + 1, seed=6)  # same tail block
+        assert_runs_match(a.kv_runs(), a)
+        a.truncate(BT + 1)  # drops the tail block
+        assert_runs_match(a.kv_runs(), a)
+        assert_zero_copy(a.kv_runs(), arena)
 
-    def test_slab_grows_when_batch_outgrows_it(self):
+    def test_runs_refresh_when_cache_grows(self):
         arena = KVArena(16, H, BT, D)
         a, b = interleaved_pair(arena)
         g = BatchedKVGather()
-        g(0, [(0, a)])
-        small = g.slab_bytes
+        before = g(0, [(0, a)])[0]
         fill(a, 3 * BT, start=2 * BT, seed=5)
-        g(1, [(0, a), (1, b)])
-        assert g.slab_bytes > small
-        np.testing.assert_array_equal(g(2, [(0, a)])[0][0], a.keys)
+        out = g(1, [(0, a), (1, b)])
+        assert sum(k.shape[1] for k, _ in out[0]) > sum(
+            k.shape[1] for k, _ in before
+        )
+        assert_runs_match(out[0], a)
+        assert_runs_match(out[1], b)
+        assert_runs_match(g(2, [(0, a)])[0], a)
+
+    def test_runs_follow_fork_and_eviction(self):
+        arena = KVArena(16, H, BT, D)
+        donor = PagedLayerKVCache(arena)
+        fill(donor, 2 * BT, seed=7)
+        reader = PagedLayerKVCache(arena)
+        reader.adopt_shared(list(donor.block_ids), donor.positions.copy())
+        reader.truncate(2 * BT - 1)  # rewrite the shared tail: forks
+        fill(reader, 3, start=2 * BT - 1, seed=8)
+        assert arena.forks == 1
+        assert_runs_match(reader.kv_runs(), reader)
+        assert_runs_match(donor.kv_runs(), donor)
+        keep = [np.arange(0, 2 * BT + 2, 2) for _ in range(H)]
+        reader.evict(keep)
+        assert_runs_match(reader.kv_runs(), reader)
+        assert_zero_copy(reader.kv_runs(), arena)
 
     def test_mixed_batch_routes_each_cache_correctly(self):
         arena = KVArena(8, H, BT, D)
@@ -97,10 +139,10 @@ class TestSlabGather:
         assert set(out) == {0, 1, 2, 3}
         for entry, cache in ((0, frag_a), (1, clean), (2, contig),
                              (3, frag_b)):
-            np.testing.assert_array_equal(out[entry][0], cache.keys)
-            np.testing.assert_array_equal(out[entry][1], cache.values)
-        assert g.viewed_tokens == BT  # only the clean paged cache
-        assert g.gathered_tokens == 4 * BT  # the two fragmented ones
+            assert_runs_match(out[entry], cache)
+        for entry in (0, 1, 3):
+            assert_zero_copy(out[entry], arena)
+        assert [len(out[e]) for e in range(4)] == [2, 1, 1, 2]
 
 
 class TestStats:
@@ -109,11 +151,10 @@ class TestStats:
         a, b = interleaved_pair(arena)
         g = BatchedKVGather()
         g(0, [(0, a), (1, b)])
-        s = g.stats()
-        assert set(s) == {
-            "dispatches", "view_only_dispatches", "viewed_tokens",
-            "gathered_tokens", "slab_bytes",
+        g(1, [(0, a)])
+        assert g.stats() == {
+            "dispatches": 2,
+            "reads": 3,
+            "runs": 6,
+            "viewed_tokens": 6 * BT,
         }
-        assert s["dispatches"] == 1
-        assert s["gathered_tokens"] == 4 * BT
-        assert s["slab_bytes"] == g.slab_bytes

@@ -12,6 +12,9 @@ and through the exhaustion-rollback-replay path the serving engine uses
 import numpy as np
 import pytest
 
+from repro.attention.dense import dense_attention
+from repro.attention.packed import PackedDecodeItem, packed_decode_attention
+from repro.backends import FullAttentionBackend
 from repro.baselines.h2o import H2OPolicy
 from repro.errors import ModelError
 from repro.memory import KVArena, PagedLayerKVCache
@@ -177,7 +180,7 @@ class TestDispatchContract:
 
         def gather(layer, pairs):
             seen.append((layer, [b for b, _ in pairs]))
-            return {b: (c.keys, c.values) for b, c in pairs}
+            return {b: ((c.keys, c.values),) for b, c in pairs}
 
         bat = run_batched(model, PROMPTS, cache_sets, 1, gather=gather)
         assert len(seen) == model.config.n_layers
@@ -270,3 +273,130 @@ class TestRollbackReplay:
                 got.attention_mass(), want.attention_mass()
             )
             np.testing.assert_array_equal(got.keys, want.keys)
+
+
+# --------------------------------------------------------------------------
+# Multi-run decode: paged block tables fragmented by construction
+# --------------------------------------------------------------------------
+
+BT = 4  # arena block tokens; chunked prefill appends one block at a time
+SHARED = 8  # tokens of DONOR a follower adopts (two full blocks)
+DONOR = np.arange(40, 51, dtype=np.int64)
+FOLLOWER = np.concatenate([DONOR[:SHARED], [3, 7, 11, 13, 17]])
+
+
+def chunked_prefill(model, tokens, caches, start=0):
+    """Prefill ``tokens[start:]`` one block per chunk: every layer's
+    append takes a fresh arena block, so the layers' tables interleave."""
+    backend = FullAttentionBackend()
+
+    def attend(i, q, keys, values, scale):
+        return backend.prefill(q, keys, values, scale=scale, layer=i)
+
+    for c0 in range(start, len(tokens), BT):
+        c1 = min(c0 + BT, len(tokens))
+        model.prefill_chunk(
+            tokens[c0:c1], np.arange(c0, c1, dtype=np.int64), caches, attend
+        )
+
+
+def fragmented_caches(model):
+    """``[donor, follower]`` paged cache sets over one arena: interleaved
+    layers, and a follower that adopts the donor's first two blocks per
+    layer (a shared prefix) before prefilling a private tail."""
+    arena = KVArena(256, model.config.n_kv_heads, BT, model.config.d_head)
+    donor = [PagedLayerKVCache(arena) for _ in model.layers]
+    chunked_prefill(model, DONOR, donor)
+    follower = [PagedLayerKVCache(arena) for _ in model.layers]
+    for cache, src in zip(follower, donor):
+        cache.adopt_shared(
+            list(src.block_ids[: SHARED // BT]), src.positions[:SHARED].copy()
+        )
+    chunked_prefill(model, FOLLOWER, follower, start=SHARED)
+    return [donor, follower]
+
+
+def contiguous_twins(model):
+    """The same prompts and chunking on the contiguous backend."""
+    out = []
+    for prompt in (DONOR, FOLLOWER):
+        caches = model.new_caches()
+        chunked_prefill(model, prompt, caches)
+        out.append(caches)
+    return out
+
+
+FRAG_PROMPTS = [DONOR, FOLLOWER]
+
+
+class TestMultiRunDecode:
+    def test_fixture_is_fragmented_and_shares_blocks(self, model):
+        donor, follower = fragmented_caches(model)
+        for cache in donor + follower:
+            assert len(cache.kv_runs()) > 1
+        assert all(c.shared_block_count == SHARED // BT for c in follower)
+        # Adopted KV reads back as the donor's, bitwise.
+        for f, d in zip(follower, donor):
+            np.testing.assert_array_equal(
+                f.keys[:, :SHARED], d.keys[:, :SHARED]
+            )
+
+    def test_decode_step_and_decode_batch_agree_bitwise(self, model):
+        seq = fragmented_caches(model)
+        bat = fragmented_caches(model)
+        a = run_sequential(model, FRAG_PROMPTS, seq, 5, record_attention=True)
+        b = run_batched(model, FRAG_PROMPTS, bat, 5, record_attention=True)
+        assert_bitwise(a, b, seq, bat)
+        for a_set, b_set in zip(seq, bat):
+            for ca, cb in zip(a_set, b_set):
+                np.testing.assert_array_equal(
+                    ca.attention_mass(), cb.attention_mass()
+                )
+
+    def test_single_run_kv_bitwise_equals_dense(self, model, rng):
+        arena = KVArena(8, 2, BT, 16)
+        cache = PagedLayerKVCache(arena)
+        k = rng.standard_normal((2, 3 * BT - 1, 16)).astype(np.float32)
+        v = rng.standard_normal(k.shape).astype(np.float32)
+        cache.append(k, v, np.arange(k.shape[1], dtype=np.int64))
+        runs = cache.kv_runs()
+        assert len(runs) == 1
+        q = rng.standard_normal((4, 1, 16)).astype(np.float32)
+        res = packed_decode_attention(
+            [PackedDecodeItem(q=q, kv=runs)],
+            return_probs=True,
+        )
+        ref = dense_attention(q, k, v, causal=False, return_probs=True)
+        np.testing.assert_array_equal(res.outputs[0], ref.output)
+        np.testing.assert_array_equal(res.probs[0], ref.probs)
+
+    def test_multi_run_kv_matches_dense_on_concatenated_kv(self, rng):
+        q = rng.standard_normal((4, 1, 16)).astype(np.float32)
+        k = rng.standard_normal((2, 37, 16)).astype(np.float32)
+        v = rng.standard_normal(k.shape).astype(np.float32)
+        cuts = [(0, 5), (5, 6), (6, 24), (24, 37)]
+        res = packed_decode_attention(
+            [
+                PackedDecodeItem(
+                    q=q, kv=tuple((k[:, a:b], v[:, a:b]) for a, b in cuts)
+                )
+            ],
+            return_probs=True,
+        )
+        ref = dense_attention(q, k, v, causal=False, return_probs=True)
+        assert float(np.abs(res.outputs[0] - ref.output).max()) <= 2e-5
+        assert float(np.abs(res.probs[0] - ref.probs).max()) <= 2e-5
+        assert res.stats["kv_tokens"] == 37
+
+    def test_multi_run_matches_contiguous_backend(self, model):
+        frag = fragmented_caches(model)
+        contig = contiguous_twins(model)
+        for f_set, c_set in zip(frag, contig):
+            for f, c in zip(f_set, c_set):
+                np.testing.assert_array_equal(f.keys, c.keys)
+        a = run_batched(model, FRAG_PROMPTS, frag, 6)
+        b = run_batched(model, FRAG_PROMPTS, contig, 6)
+        for a_series, b_series in zip(a, b):
+            for la, lb in zip(a_series, b_series):
+                assert float(np.abs(la - lb).max()) <= 2e-5
+                assert greedy(la) == greedy(lb)
